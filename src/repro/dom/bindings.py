@@ -26,6 +26,7 @@ per-realm prototype slots that point at them).
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.sandbox import BudgetExceeded
@@ -138,6 +139,34 @@ class Timer:
         self.cancelled = False
 
 
+def _construct_interface(
+    interp: Interpreter, this: Any, args: List[Any]
+) -> Any:
+    # `new Interface()` runs through Interpreter.construct, which
+    # already allocated `this` with the right prototype; returning
+    # undefined keeps that instance.  One function serves every
+    # interface constructor of every realm.
+    return UNDEFINED
+
+
+def release_page() -> None:
+    """Free the realm of the page that just ended.
+
+    A realm is a cyclic graph of a few thousand objects (prototypes,
+    constructors, host closures, DOM nodes with parent and wrapper
+    links) that only the cyclic collector can free.  Call this once
+    the page is unreachable: it flushes the inline-cache sites that
+    would keep the graph alive, then collects the two young
+    generations, where a just-ended page's objects still are.  A full
+    collection would also walk every long-lived object (the lowered
+    code shared by all pages) and cost many times more.
+    """
+    from repro.minijs.codegen import flush_inline_caches
+
+    flush_inline_caches()
+    gc.collect(1)
+
+
 class DomRealm:
     """A live page: document tree + MiniJS realm + DOM bindings."""
 
@@ -158,10 +187,12 @@ class DomRealm:
             interpreter_class,
         )
 
-        # Compiled-code inline caches pin the previous realm's
-        # prototype graph; cross-realm hits are impossible (fresh
-        # prototype identities per realm), so flush them here and let
-        # the collector reclaim the dead page promptly.
+        # Backstop for realms built outside a crawler (tests, tools,
+        # examples): compiled-code inline caches may still pin the
+        # previous realm's prototype graph, and cross-realm hits are
+        # impossible (fresh prototype identities per realm).  This is
+        # too late to keep that graph out of the old GC generation;
+        # crawlers call release_page() as each page ends for that.
         flush_inline_caches()
         kwargs = {} if step_limit is None else {"step_limit": step_limit}
         self.interp = interpreter_class(engine)(seed=seed, **kwargs)
@@ -236,15 +267,9 @@ class DomRealm:
             interp.global_object.properties[name] = ctor
 
     def _make_constructor(self, name: str, proto: JSObject) -> JSFunction:
-        def construct(interp: Interpreter, this: Any, args: List[Any]) -> Any:
-            # `new Interface()` runs through Interpreter.construct, which
-            # already allocated `this` with the right prototype; returning
-            # undefined keeps that instance.
-            return UNDEFINED
-
         ctor = JSFunction(
             name=name,
-            host_call=construct,
+            host_call=_construct_interface,
             function_prototype=self.interp.function_prototype,
         )
         ctor.properties["prototype"] = proto
@@ -750,7 +775,6 @@ class DomRealm:
                     return None  # real browsers throw at fire time; we drop
                 return JSFunction(
                     name="timeout",
-                    params=[],
                     body=program.body,
                     closure=interp.global_env,
                     function_prototype=interp.function_prototype,

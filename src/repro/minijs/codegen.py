@@ -86,10 +86,13 @@ _MISS = object()
 #: last resolved against (the start proto and the owning prototype —
 #: and through their host-function closures, the entire dead realm's
 #: object graph).  Cross-realm hits are impossible anyway (each realm
-#: has fresh prototype identities), so flushing filled sites when a
-#: new realm is built costs nothing and lets the collector reclaim the
-#: previous page's ~10^5-object cyclic realm graph promptly instead of
-#: dragging it through the old GC generations.
+#: has fresh prototype identities), so a flush costs nothing.  When
+#: to flush matters: a page left pinned until the next realm is built
+#: gets promoted into the oldest GC generation by the collections the
+#: next page's allocations trigger, and only full collections (each
+#: walking every long-lived object of lowered code) free it from
+#: there.  Crawlers therefore flush as each page ends, followed by a
+#: young-generation collection (``repro.dom.bindings.release_page``).
 _DIRTY_ICS: List[list] = []
 
 

@@ -27,7 +27,11 @@ The interpreter walks AST nodes but never writes to them (guarded by
 ``tests/test_compile_cache.py``), so one compiled program can back any
 number of realms concurrently.  Syntax errors are cached too — a site
 whose only bundle has a fatal parse error re-raises the recorded error
-instead of re-lexing the broken source five rounds in a row.
+instead of re-lexing the broken source five rounds in a row.  The cache
+records the error's class, message and line, never the exception
+object, and raises a fresh instance on every lookup: a raised
+exception's traceback grows by every frame it passes through, so one
+shared instance would pin each page that ever hit it.
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ from __future__ import annotations
 import hashlib
 import time
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, NoReturn, Optional, Tuple, Type, Union
 
 from repro.minijs import ast
 from repro.minijs.errors import JSLexError, JSParseError
 from repro.minijs.parser import parse as _parse
 from repro.timing import phase as timed_phase
 
-_CompileOutcome = Union[ast.Program, JSLexError, JSParseError]
+_SyntaxFailure = Tuple[Type[Union[JSLexError, JSParseError]], str, int]
+_CompileOutcome = Union[ast.Program, _SyntaxFailure]
 
 #: Bound chosen for a 10k-site crawl: distinct bodies number in the low
 #: thousands (sites share CDN/ad/tracker scripts), and an AST is a few
@@ -102,7 +107,7 @@ class CompileCache:
             if isinstance(cached, ast.Program):
                 return cached
             self.error_hits += 1
-            raise cached
+            _raise_fresh(cached)
         self.misses += 1
         started = time.perf_counter()
         outcome: _CompileOutcome
@@ -110,7 +115,7 @@ class CompileCache:
             try:
                 outcome = _parse(source)
             except (JSLexError, JSParseError) as error:
-                outcome = error
+                outcome = (type(error), error.detail, error.line)
         self.parse_seconds += time.perf_counter() - started
         self.compiled_bytes += len(source)
         self._entries[key] = outcome
@@ -119,7 +124,7 @@ class CompileCache:
             self.evictions += 1
         if isinstance(outcome, ast.Program):
             return outcome
-        raise outcome
+        _raise_fresh(outcome)
 
     # -- warm-up -----------------------------------------------------------
 
@@ -185,6 +190,12 @@ class CompileCache:
         if lookups == 0:
             return None
         return self.hits / lookups
+
+
+def _raise_fresh(failure: _SyntaxFailure) -> NoReturn:
+    """Raise a new instance of a recorded syntax error."""
+    kind, detail, line = failure
+    raise kind(detail, line)
 
 
 #: The process-wide cache every layer compiles through.

@@ -20,6 +20,7 @@ class JSLexError(MiniJSError):
 
     def __init__(self, message: str, line: int) -> None:
         super().__init__("SyntaxError (line %d): %s" % (line, message))
+        self.detail = message
         self.line = line
 
 
@@ -28,6 +29,7 @@ class JSParseError(MiniJSError):
 
     def __init__(self, message: str, line: int) -> None:
         super().__init__("SyntaxError (line %d): %s" % (line, message))
+        self.detail = message
         self.line = line
 
 

@@ -15,7 +15,7 @@ property writes on singleton objects (section 4.2.2).
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.minijs.interpreter import Interpreter
@@ -203,7 +203,7 @@ class JSFunction(JSObject):
     def __init__(
         self,
         name: str = "",
-        params: Optional[List[str]] = None,
+        params: Sequence[str] = (),
         body: Optional[list] = None,
         closure: Any = None,
         host_call: Optional[Callable[..., Any]] = None,
@@ -211,7 +211,9 @@ class JSFunction(JSObject):
     ) -> None:
         super().__init__(prototype=function_prototype, class_name="Function")
         self.name = name
-        self.params = params or []
+        # Read-only: host functions (hundreds per page) share the
+        # default empty tuple instead of each allocating a list.
+        self.params = params
         self.body = body
         self.closure = closure
         self.host_call = host_call

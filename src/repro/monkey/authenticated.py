@@ -26,6 +26,7 @@ from typing import Optional, Set
 
 from repro.browser.browser import Browser
 from repro.browser.session import VisitResult
+from repro.dom.bindings import release_page
 from repro.monkey.crawler import CrawlConfig, SiteCrawler
 from repro.net.url import Url
 
@@ -99,6 +100,7 @@ class AuthenticatedCrawler:
             Url.parse("https://%s/" % domain).registrable_domain
         )
         logged_in = self.login(domain, credential)
+        release_page()
         crawler = SiteCrawler(
             self.browser, self.config, condition="authenticated"
         )
@@ -108,6 +110,7 @@ class AuthenticatedCrawler:
         # it deliberately rather than hoping the random walk lands there.
         if logged_in:
             self._visit_account(domain, result, seed)
+            release_page()
         registry = self.browser.registry
         authenticated_standards = {
             registry.standard_of(f) for f in result.feature_counts

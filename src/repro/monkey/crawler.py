@@ -31,6 +31,7 @@ from repro.core.sandbox import (
     current_memory_governor,
     heartbeat,
 )
+from repro.dom.bindings import release_page
 from repro.dom.node import install_dom_meter
 from repro.monkey.gremlins import Gremlins, MonkeyConfig
 from repro.net.resilience import merge_degraded
@@ -164,6 +165,9 @@ class SiteCrawler:
                         break
                     with obs.span("page", url=str(url), depth=depth):
                         page = self._visit_one(url, rng, result, meter)
+                    # The page's realm is unreachable now; free it
+                    # before the next page's allocations promote it.
+                    release_page()
                     if result.partial:
                         break
                     if page is None:

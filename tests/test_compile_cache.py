@@ -80,6 +80,21 @@ class TestCompileCache:
         assert cache.misses == 1
         assert cache.hits == 1 and cache.error_hits == 1
 
+    def test_each_error_hit_raises_a_fresh_instance(self, cache):
+        # A shared instance would carry every raiser's frames in its
+        # growing traceback, pinning each page that hit it.
+        broken = "function ( {"
+        raised = []
+        for _ in range(3):
+            with pytest.raises(JSParseError) as info:
+                cache.compile(broken)
+            raised.append(info.value)
+        assert len({id(error) for error in raised}) == 3
+        assert len({str(error) for error in raised}) == 1
+        assert len({error.line for error in raised}) == 1
+        assert str(raised[0]) == str(pytest.raises(
+            JSParseError, parse, broken).value)
+
     def test_disabled_cache_stores_nothing(self):
         cache = CompileCache(enabled=False)
         source = "var x = 1;"
